@@ -1052,7 +1052,9 @@ fn entry_from_best<K: Copy>(
 /// Run one f64 tuning sweep at `class`'s representative shape and
 /// return the winner (not yet persisted). `kernel` is the configured
 /// kernel whose analytic blocking anchors the candidate set and the
-/// untuned baseline. `None` when nothing could be measured.
+/// untuned baseline; every other kernel this CPU runs natively
+/// ([`MicroKernelKind::available`]: the paper's four plus the supported
+/// SIMD kernels) is an alternate. `None` when nothing could be measured.
 #[must_use]
 pub fn tune_f64(
     kernel: MicroKernelKind,
@@ -1062,9 +1064,8 @@ pub fn tune_f64(
 ) -> Option<TuneEntry> {
     let mut kernels = vec![kernel];
     kernels.extend(
-        MicroKernelKind::ALL
-            .iter()
-            .copied()
+        MicroKernelKind::available()
+            .into_iter()
             .filter(|k| *k != kernel),
     );
     let best = sweep::<f64, _>(
@@ -1242,9 +1243,11 @@ fn runtime_from_entry(entry: &TuneEntry) -> Parallelism {
 /// Resolve the tuned configuration for one f64 GEMM call — exactly what
 /// [`crate::gemm::try_gemm`] will run for an `m×n×k` problem: the
 /// stored winner if the DB has one, else (Full mode, first miss of the
-/// class) tune now and apply the fresh winner. Every failure path
-/// returns the config unchanged. The stored runtime only overrides
-/// [`DispatchMode::Fixed`] configs — an explicit dispatch mode keeps
+/// class) tune now and apply the fresh winner. The stored `mr×nr`
+/// resolves against [`MicroKernelKind::available`], so a SIMD winner
+/// applies on a CPU that runs it and is ignored elsewhere. Every
+/// failure path returns the config unchanged. The stored runtime only
+/// overrides [`DispatchMode::Fixed`] configs — an explicit dispatch mode keeps
 /// runtime authority with the dispatcher.
 #[must_use]
 pub fn tuned_f64(
@@ -1290,9 +1293,8 @@ pub fn tuned_f64(
     let Some(entry) = entry else {
         return *cfg;
     };
-    let Some(kernel) = MicroKernelKind::ALL
-        .iter()
-        .copied()
+    let Some(kernel) = MicroKernelKind::available()
+        .into_iter()
         .find(|kk| kk.mr() == entry.mr && kk.nr() == entry.nr)
     else {
         return *cfg;

@@ -100,10 +100,13 @@ impl GemmConfig {
         }
     }
 
-    /// Configuration for the host at hand: the thread count comes from
-    /// the `DGEMM_NUM_THREADS` environment variable when set, otherwise
-    /// from [`std::thread::available_parallelism`]; the epoch watchdog
-    /// comes from `DGEMM_EPOCH_TIMEOUT_MS` when set. An unparsable or
+    /// Configuration for the host at hand: the register kernel is
+    /// [`MicroKernelKind::host`] (the best SIMD kernel the CPU supports,
+    /// else the paper's 8×6), blocked by [`GemmConfig::for_kernel`]; the
+    /// thread count comes from the `DGEMM_NUM_THREADS` environment
+    /// variable when set, otherwise from
+    /// [`std::thread::available_parallelism`]; the epoch watchdog comes
+    /// from `DGEMM_EPOCH_TIMEOUT_MS` when set. An unparsable or
     /// zero `DGEMM_NUM_THREADS` is a [`GemmError::BadConfig`]; an
     /// absurdly large one is clamped to [`WorkerPool::max_workers`].
     /// `DGEMM_EPOCH_TIMEOUT_MS=0` disables the watchdog; an unparsable
@@ -121,7 +124,7 @@ impl GemmConfig {
             crate::autotune::max_age_from_env()?;
             crate::autotune::seed_dispatch_calibration();
         }
-        Ok(GemmConfig::for_kernel(MicroKernelKind::Mk8x6, threads)
+        Ok(GemmConfig::for_kernel(MicroKernelKind::host(), threads)
             .with_epoch_timeout(epoch_timeout_from_env()?)
             .with_pack_cache(pack_cache_from_env()?)
             .with_dispatch(DispatchMode::from_env()?)

@@ -5,6 +5,8 @@
 //! analytically blocked for the ARMv8 memory hierarchy, with the paper's
 //! 8×6 register kernel (plus the 8×4, 4×4 comparison kernels and a 5×5
 //! ATLAS-like baseline) and layer-3 multi-threading.
+//! [`gemm::GemmConfig::auto`] runs instead the register kernel the same
+//! analysis derives for the host's register file ([`simd`]).
 //!
 //! The library computes `C := α·op(A)·op(B) + β·C` for column-major
 //! double-precision matrices, exactly like BLAS `dgemm`.
@@ -35,6 +37,7 @@
 //! | [`matrix`] | — | column-major owned/borrowed matrix types |
 //! | [`pack`] | layer 4 | packing A into `mr`-slivers, B into `nr`-slivers |
 //! | [`microkernel`] | layer 7 | the `mr×nr` rank-1-update register kernels |
+//! | [`simd`] | layer 7 | AVX-512 24×8 and AVX2 12×4 kernels at the host's eqs. 8–11 optimum |
 //! | [`gebp`] | layers 4–6 | GEBP / GEBS / GESS loop nest over packed data |
 //! | [`gemm`] | layers 1–3 | `nc`/`kc`/`mc` blocking, β-scaling, driver |
 //! | [`parallel`] | layer 3 | serial walk + static band partitioning (Section IV-C) |
@@ -55,8 +58,9 @@
 
 #![warn(missing_docs)]
 // unsafe is confined to `tile` (the C-tile splitter whose checked API
-// expresses the threaded path's disjoint row-band writes); every other
-// module carries `#![forbid(unsafe_code)]`.
+// expresses the threaded path's disjoint row-band writes) and `simd`
+// (the `#[target_feature]` register kernels behind CPU-checked safe
+// wrappers); every other module carries `#![forbid(unsafe_code)]`.
 #![deny(unsafe_op_in_unsafe_fn)]
 // Library code must propagate failures as typed errors; panicking
 // shortcuts are reserved for tests.
@@ -83,6 +87,7 @@ pub mod reference;
 pub mod scalar;
 pub mod service;
 pub mod sgemm;
+pub mod simd;
 pub mod store;
 pub mod telemetry;
 pub mod tile;

@@ -57,6 +57,16 @@ pub fn gemm_tolerance(k: usize, scale: f64) -> f64 {
     32.0 * k * f64::EPSILON * scale.max(1.0)
 }
 
+/// `γ_n = n·u / (1 − n·u)` with `u` the f64 unit roundoff: a result
+/// that passes through at most `n` roundings lies within `γ_n` times
+/// the sum of its terms' magnitudes of the exact value (Higham, §3.1).
+/// The constant of the componentwise bound `|Ĉ − C| ≤ γ_k·|A|·|B|`.
+#[must_use]
+pub fn gamma(n: usize) -> f64 {
+    let nu = n as f64 * (f64::EPSILON / 2.0);
+    nu / (1.0 - nu)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +102,14 @@ mod tests {
     #[test]
     fn flops_formula() {
         assert_eq!(gemm_flops(10, 20, 30), 12000.0);
+    }
+
+    #[test]
+    fn gamma_is_n_unit_roundoffs_to_first_order() {
+        assert_eq!(gamma(0), 0.0);
+        let u = f64::EPSILON / 2.0;
+        assert!((gamma(1) - u).abs() <= u * u * 2.0);
+        assert!(gamma(1000) > 1000.0 * u);
     }
 
     #[test]

@@ -323,6 +323,52 @@ fn over_age_entries_retune_under_full_but_apply_under_read() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A DB entry for a SIMD kernel shape (24×8 or 12×4) round-trips
+/// through disk and resolves to that kernel when this CPU runs it
+/// natively, instead of being dropped as an unknown shape.
+#[test]
+fn simd_kernel_entries_round_trip_and_resolve() {
+    let Some(kernel) = MicroKernelKind::SIMD
+        .into_iter()
+        .find(MicroKernelKind::is_native)
+    else {
+        return; // no SIMD kernel on this CPU: nothing to resolve
+    };
+    let _guard = env_lock();
+    let path = scratch("simd-entry.json");
+    let _ = std::fs::remove_file(&path);
+    let class = ShapeClass::of(150, 150, 150);
+    let mut entry = entry_for(&class, 96, 48, 120);
+    (entry.mr, entry.nr) = (kernel.mr(), kernel.nr());
+    let mut db = TuneDb::default();
+    db.upsert(entry.clone());
+    autotune::store_db(&path, &db).expect("store");
+    autotune::invalidate_db_cache();
+    assert_eq!(
+        autotune::load_db(&path),
+        db,
+        "entry round-trips through disk"
+    );
+
+    std::env::set_var("DGEMM_TUNE_DB", &path);
+    let mut cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1);
+    cfg.autotune = AutotuneMode::Read;
+    let tuned = autotune::tuned_f64(&cfg, 150, 150, 150);
+    assert_eq!(
+        tuned.kernel,
+        kernel,
+        "stored {} winner applies",
+        kernel.label()
+    );
+    assert_eq!(
+        tuned.blocks.label(),
+        format!("{}x{}x96x48x120", kernel.mr(), kernel.nr())
+    );
+    assert_correct(&cfg, 150, 150, 150);
+    std::env::remove_var("DGEMM_TUNE_DB");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A tuned blocking must preserve the bitwise cross-runtime contract:
 /// for one fixed `(kernel, blocking)`, Serial, Scoped and Pool runs are
 /// bit-identical (the `(jj, kk)` epoch walk fixes accumulation order).
