@@ -10,10 +10,10 @@
 //!   calls (no redundant flops outside diagonal blocks).
 //! - [`dsymm`] — symmetric multiply `C := α·A·B + β·C` (left side), with
 //!   the symmetric operand expanded once and fed to GEMM.
-//! - [`dtrsm`] — triangular solve `op(A)·X = α·B` (left side), blocked
-//!   so all but the diagonal-block solves run through GEMM — the routine
-//!   LINPACK pairs with DGEMM in the LU update, which is the paper's
-//!   motivating workload.
+//! - [`dtrsm`] — triangular solve `op(A)·X = α·B` (left side), recursive
+//!   so all but the ≤ 32-row substitution leaves run through GEMM with
+//!   `k` up to `m/2` — the routine LINPACK pairs with DGEMM in the LU
+//!   update, which is the paper's motivating workload.
 //!
 //! Because every routine here bottoms out in [`try_gemm`] with the
 //! caller's [`GemmConfig`], they inherit the pre-packed-B cache when
@@ -23,9 +23,9 @@
 //! operand), so in-place mutation between calls requires invalidation.
 //! They likewise inherit `cfg.dispatch` (DESIGN.md §13): under
 //! [`crate::dispatch::DispatchMode::Auto`] each interior GEMM is
-//! dispatched by its own sub-block shape, so e.g. the skinny panel
-//! updates of a blocked `dtrsm` can run serially while the large
-//! trailing updates use the pool's 2-D task grid.
+//! dispatched by its own sub-block shape, so e.g. the small updates
+//! near the leaves of the recursive `dtrsm` can run serially while the
+//! large ones at its top use the pool's 2-D task grid.
 
 #![forbid(unsafe_code)]
 
@@ -250,10 +250,13 @@ pub enum Diag {
 /// `op(A)·X = α·B`, where `A` is `m×m` triangular (`uplo`, `diag`) and
 /// `B` is `m×n`.
 ///
-/// Blocked algorithm: the diagonal `nb×nb` blocks are solved by direct
-/// forward/back substitution; everything else is rank-`nb` GEMM updates
-/// (`B_i -= A_ij · X_j`), so the flops go through the same GEBP engine
-/// the paper optimizes — exactly how LINPACK spends its time.
+/// Recursive algorithm: split op(A) into halves, solve the first half of
+/// the rows, update the other half of B with one GEMM of depth `m/2`
+/// (`B₂ −= T₂₁·X₁` for op(A) lower, `B₁ −= T₁₂·X₂` for upper), then solve
+/// the second half. Blocks of at most 32 rows are solved by
+/// substitution on contiguous columns, so ~all the flops go through the
+/// same GEBP engine the paper optimizes — exactly how LINPACK spends its
+/// time.
 pub fn dtrsm(
     uplo: UpLo,
     trans: Transpose,
@@ -277,113 +280,144 @@ pub fn dtrsm(
     if m == 0 || b.cols() == 0 {
         return Ok(());
     }
-
     // op(A) lower-triangular  <=>  (A lower, NoTrans) or (A upper, Trans)
-    let effectively_lower = matches!(
+    let lower = matches!(
         (uplo, trans),
         (UpLo::Lower, Transpose::No) | (UpLo::Upper, Transpose::Yes)
     );
-    let opa = |i: usize, j: usize| match trans {
-        Transpose::No => a.get(i, j),
-        Transpose::Yes => a.get(j, i),
-    };
-
-    let nb = cfg.blocks.mr.max(32); // panel width for the diagonal solves
-    let n = b.cols();
-    let blocks: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut s = 0;
-        while s < m {
-            let w = nb.min(m - s);
-            v.push((s, w));
-            s += w;
-        }
-        v
-    };
-
-    // forward order for lower-triangular op(A), backward for upper
-    let order: Vec<usize> = if effectively_lower {
-        (0..blocks.len()).collect()
-    } else {
-        (0..blocks.len()).rev().collect()
-    };
-
-    for &bi in &order {
-        let (i0, wi) = blocks[bi];
-        // B_i -= sum over already-solved blocks j of op(A)_ij * X_j —
-        // done incrementally below via GEMM *after* each solve instead;
-        // here solve the diagonal block directly.
-        solve_diag_block(&opa, diag, effectively_lower, i0, wi, b);
-
-        // propagate X_i into the remaining unsolved blocks with one GEMM:
-        // B_rest -= op(A)[rest, i] * X_i
-        let (rest0, rest_len) = if effectively_lower {
-            (i0 + wi, m - (i0 + wi))
-        } else {
-            (0, i0)
-        };
-        if rest_len == 0 {
-            continue;
-        }
-        // materialize op(A)[rest, i] (wi columns) once; strided reads
-        // either way, and GEMM wants a contiguous view
-        let a_panel = Matrix::from_fn(rest_len, wi, |r, c| opa(rest0 + r, i0 + c));
-        let x_i = Matrix::from_fn(wi, n, |r, c| b.get(i0 + r, c));
-        let mut b_rest = b.sub_mut(rest0, 0, rest_len, n);
-        try_gemm(
-            Transpose::No,
-            Transpose::No,
-            -1.0,
-            &a_panel.view(),
-            &x_i.view(),
-            1.0,
-            &mut b_rest,
-            cfg,
-        )?;
-    }
-    Ok(())
+    trsm_rec(lower, trans, diag, a, b, &mut Vec::new(), cfg)
 }
 
-/// Direct substitution on one diagonal block: rows `i0..i0+w` of B.
-fn solve_diag_block(
-    opa: &impl Fn(usize, usize) -> f64,
-    diag: Diag,
+/// Largest triangle [`dtrsm`] solves by substitution.
+const TRSM_LEAF: usize = 32;
+
+/// Recursive step of [`dtrsm`] (`alpha` already applied); `x` is the
+/// reused scratch holding the solved half while it updates the other.
+fn trsm_rec(
     lower: bool,
-    i0: usize,
-    w: usize,
+    trans: Transpose,
+    diag: Diag,
+    a: &MatrixView<'_>,
+    b: &mut MatrixViewMut<'_>,
+    x: &mut Vec<f64>,
+    cfg: &GemmConfig,
+) -> Result<(), GemmError> {
+    let m = a.rows();
+    if m <= TRSM_LEAF {
+        solve_leaf(lower, trans, diag, a, b);
+        return Ok(());
+    }
+    let n = b.cols();
+    let m1 = m / 2;
+    // (start, len) of the half solved first and of the one it updates
+    let (first, second) = if lower {
+        ((0, m1), (m1, m - m1))
+    } else {
+        ((m1, m - m1), (0, m1))
+    };
+    let diag_block = |(i, w): (usize, usize)| a.sub(i, i, w, w);
+    trsm_rec(
+        lower,
+        trans,
+        diag,
+        &diag_block(first),
+        &mut b.sub_mut(first.0, 0, first.1, n),
+        x,
+        cfg,
+    )?;
+    x.clear();
+    for j in 0..n {
+        x.extend_from_slice(&b.col_mut(j)[first.0..first.0 + first.1]);
+    }
+    // op(A)[second, first], read in place with the caller's transpose
+    let coupling = match trans {
+        Transpose::No => a.sub(second.0, first.0, second.1, first.1),
+        Transpose::Yes => a.sub(first.0, second.0, first.1, second.1),
+    };
+    try_gemm(
+        trans,
+        Transpose::No,
+        -1.0,
+        &coupling,
+        &MatrixView::from_slice(first.1, n, first.1, x),
+        1.0,
+        &mut b.sub_mut(second.0, 0, second.1, n),
+        cfg,
+    )?;
+    trsm_rec(
+        lower,
+        trans,
+        diag,
+        &diag_block(second),
+        &mut b.sub_mut(second.0, 0, second.1, n),
+        x,
+        cfg,
+    )
+}
+
+/// Substitution for a triangle of at most [`TRSM_LEAF`] rows, one
+/// contiguous column of B at a time: an axpy down A's column for
+/// `NoTrans`, a dot product with it for `Trans`.
+fn solve_leaf(
+    lower: bool,
+    trans: Transpose,
+    diag: Diag,
+    a: &MatrixView<'_>,
     b: &mut MatrixViewMut<'_>,
 ) {
-    let n = b.cols();
-    // Closed-form count for the scalar substitution: each of the n
-    // columns does w·(w-1) multiply/subtract flops over the triangle
-    // plus w divides when the diagonal is stored.
-    let per_col = (w as u64) * (w as u64 - u64::from(w > 0))
-        + if diag == Diag::NonUnit { w as u64 } else { 0 };
-    crate::telemetry::add_flops((n as u64) * per_col);
-    for col in 0..n {
-        if lower {
-            for r in 0..w {
-                let i = i0 + r;
-                let mut v = b.get(i, col);
-                for c in 0..r {
-                    v -= opa(i, i0 + c) * b.get(i0 + c, col);
+    let (m, n) = (a.rows(), b.cols());
+    // Closed-form count: each column does m·(m−1) multiply/subtract
+    // flops over the triangle plus m divides when the diagonal is
+    // stored.
+    let per_col = (m * (m - 1)) as u64 + if diag == Diag::NonUnit { m as u64 } else { 0 };
+    crate::telemetry::add_flops(n as u64 * per_col);
+    let unit = diag == Diag::Unit;
+    for c in 0..n {
+        let x = b.col_mut(c);
+        match (trans, lower) {
+            (Transpose::No, true) => {
+                for j in 0..m {
+                    let aj = a.col(j);
+                    if !unit {
+                        x[j] /= aj[j];
+                    }
+                    let xj = x[j];
+                    for (xi, &aij) in x[j + 1..].iter_mut().zip(&aj[j + 1..]) {
+                        *xi -= aij * xj;
+                    }
                 }
-                if diag == Diag::NonUnit {
-                    v /= opa(i, i);
-                }
-                b.set(i, col, v);
             }
-        } else {
-            for r in (0..w).rev() {
-                let i = i0 + r;
-                let mut v = b.get(i, col);
-                for c in r + 1..w {
-                    v -= opa(i, i0 + c) * b.get(i0 + c, col);
+            (Transpose::No, false) => {
+                for j in (0..m).rev() {
+                    let aj = a.col(j);
+                    if !unit {
+                        x[j] /= aj[j];
+                    }
+                    let xj = x[j];
+                    for (xi, &aij) in x[..j].iter_mut().zip(aj) {
+                        *xi -= aij * xj;
+                    }
                 }
-                if diag == Diag::NonUnit {
-                    v /= opa(i, i);
+            }
+            (Transpose::Yes, true) => {
+                for i in 0..m {
+                    let ai = a.col(i);
+                    let mut v = x[i];
+                    for (&xk, &aki) in x[..i].iter().zip(ai) {
+                        v -= aki * xk;
+                    }
+                    x[i] = if unit { v } else { v / ai[i] };
                 }
-                b.set(i, col, v);
+            }
+            (Transpose::Yes, false) => {
+                for i in (0..m).rev() {
+                    let ai = a.col(i);
+                    let mut v = x[i];
+                    for (&xk, &aki) in x[i + 1..].iter().zip(&ai[i + 1..]) {
+                        v -= aki * xk;
+                    }
+                    x[i] = if unit { v } else { v / ai[i] };
+                }
             }
         }
     }
@@ -590,81 +624,98 @@ mod tests {
         check_symm(UpLo::Upper, 24, 40, -0.5, 2.0);
     }
 
-    /// Build a well-conditioned triangular matrix (diagonally dominant).
-    fn triangular(n: usize, uplo: UpLo, seed: u64) -> Matrix {
-        let r: Matrix = Matrix::random(n, n, seed);
-        Matrix::from_fn(n, n, |i, j| {
-            let stored = match uplo {
-                UpLo::Lower => i >= j,
-                UpLo::Upper => i <= j,
-            };
-            if i == j {
-                3.0 + r.get(i, j).abs()
-            } else if stored {
-                0.5 * r.get(i, j)
-            } else {
-                0.0
-            }
-        })
-    }
-
+    /// One `op(A)·X = α·B` solve with A and B as strided sub-views of
+    /// larger storage (garbage in A's unreferenced triangle, and on its
+    /// diagonal when `Unit`), checked componentwise: the computed X
+    /// satisfies `|op(A)·X − α·B| ≤ γₘ·|op(A)|·|X|` (Higham Thm 8.5, any
+    /// summation order), the residual evaluated with Dot2 (whose own
+    /// error `u·|r| + γ²ₘ₊₁·Σ|terms|` is added to the bound). Storage
+    /// outside B's view must be untouched.
     fn check_trsm(uplo: UpLo, trans: Transpose, diag: Diag, m: usize, n: usize, alpha: f64) {
-        let a = triangular(m, uplo, 77);
-        let x_true = Matrix::random(m, n, 78);
-        // B = op(A') * X / alpha where A' has unit diag if requested
-        let a_eff = Matrix::from_fn(m, m, |i, j| {
-            if i == j && diag == Diag::Unit {
-                1.0
-            } else {
-                a.get(i, j)
+        use crate::util::{dot2, gamma};
+        let (ai, aj, bi, bj) = (2, 1, 3, 1);
+        let lower = uplo == UpLo::Lower;
+        let r: Matrix = Matrix::random(m + 3, m + 2, (m * 31 + n) as u64);
+        let mut big_a = Matrix::from_fn(m + 3, m + 2, |i, j| 1e3 * r.get(i, j));
+        for j in 0..m {
+            for i in 0..m {
+                let v = r.get(ai + i, aj + j);
+                if i == j && diag == Diag::NonUnit {
+                    big_a.set(ai + i, aj + j, 2.0 + v.abs());
+                } else if i != j && (i > j) == lower {
+                    big_a.set(ai + i, aj + j, 0.5 * v);
+                }
+            }
+        }
+        let a = big_a.view().sub(ai, aj, m, m);
+        // op(A) as the solve must see it: the referenced triangle only,
+        // with ones on a unit diagonal
+        let op_lower = lower != (trans == Transpose::Yes);
+        let op_a = Matrix::from_fn(m, m, |i, k| {
+            let v = match trans {
+                Transpose::No => a.get(i, k),
+                Transpose::Yes => a.get(k, i),
+            };
+            match (i == k, diag) {
+                (true, Diag::Unit) => 1.0,
+                (true, Diag::NonUnit) => v,
+                (false, _) if (i > k) == op_lower => v,
+                _ => 0.0,
             }
         });
-        let mut b = Matrix::zeros(m, n);
-        naive_gemm(
-            trans,
-            Transpose::No,
-            1.0 / alpha,
-            &a_eff.view(),
-            &x_true.view(),
-            0.0,
-            &mut b.view_mut(),
-        );
-
+        let big_b0: Matrix = Matrix::random(m + 5, n + 2, (m * 17 + n) as u64);
+        let mut big_b = big_b0.clone();
         dtrsm(
             uplo,
             trans,
             diag,
             alpha,
-            &a.view(),
-            &mut b.view_mut(),
+            &a,
+            &mut big_b.view_mut().sub_mut(bi, bj, m, n),
             &GemmConfig::default(),
         )
         .unwrap();
-        assert!(
-            b.max_abs_diff(&x_true) < gemm_tolerance(m, 4.0),
-            "trsm {uplo:?} {trans:?} {diag:?} m={m} n={n} alpha={alpha}: err {}",
-            b.max_abs_diff(&x_true)
-        );
-    }
-
-    #[test]
-    fn trsm_all_variants_small() {
-        for uplo in [UpLo::Lower, UpLo::Upper] {
-            for trans in [Transpose::No, Transpose::Yes] {
-                for diag in [Diag::NonUnit, Diag::Unit] {
-                    check_trsm(uplo, trans, diag, 23, 11, 1.0);
+        let what = format!("trsm {uplo:?} {trans:?} {diag:?} m={m} n={n} alpha={alpha}");
+        let (g, g2) = (gamma(m), gamma(m + 1).powi(2));
+        for c in 0..n {
+            for i in 0..m {
+                let x = |k: usize| big_b.get(bi + k, bj + c);
+                let ab = alpha * big_b0.get(bi + i, bj + c);
+                let terms = (0..m).map(|k| (op_a.get(i, k), x(k)));
+                let mag: f64 = terms.clone().map(|(p, q)| (p * q).abs()).sum();
+                let res = dot2(terms.chain([(-1.0, ab)]));
+                let bound = g * mag + g2 * (mag + ab.abs()) + f64::EPSILON * res.abs();
+                assert!(
+                    res.abs() <= bound,
+                    "{what} ({i},{c}): residual {res:e} > {bound:e}"
+                );
+            }
+        }
+        for j in 0..n + 2 {
+            for i in 0..m + 5 {
+                if !(bi..bi + m).contains(&i) || !(bj..bj + n).contains(&j) {
+                    assert_eq!(big_b.get(i, j), big_b0.get(i, j), "{what}: wrote ({i},{j})");
                 }
             }
         }
     }
 
     #[test]
-    fn trsm_blocked_path_crosses_panels() {
-        // m > nb (32) exercises the GEMM propagation between blocks
-        check_trsm(UpLo::Lower, Transpose::No, Diag::NonUnit, 97, 31, 1.0);
-        check_trsm(UpLo::Upper, Transpose::No, Diag::NonUnit, 97, 31, 1.0);
-        check_trsm(UpLo::Lower, Transpose::No, Diag::Unit, 130, 17, 2.0);
-        check_trsm(UpLo::Upper, Transpose::Yes, Diag::Unit, 130, 17, -0.5);
+    fn trsm_all_variants_componentwise_on_strided_views() {
+        // m crosses the substitution leaf (32) and the recursion splits
+        for uplo in [UpLo::Lower, UpLo::Upper] {
+            for trans in [Transpose::No, Transpose::Yes] {
+                for diag in [Diag::NonUnit, Diag::Unit] {
+                    for m in [1, 31, 32, 33, 64, 65, 200] {
+                        for n in [1, 17] {
+                            for alpha in [1.0, -0.5] {
+                                check_trsm(uplo, trans, diag, m, n, alpha);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

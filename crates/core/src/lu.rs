@@ -1,21 +1,33 @@
-//! Blocked LU factorization with partial pivoting — the LINPACK/HPL
+//! Recursive LU factorization with partial pivoting — the LINPACK/HPL
 //! workload the paper names as DGEMM's raison d'être ("as the core part
 //! of the LINPACK benchmark, DGEMM has been an important kernel for
 //! measuring the potential performance of a HPC platform").
 //!
-//! Right-looking algorithm: for each `nb`-wide panel,
+//! Toledo's recursive, left/right column-split LU (LAPACK `dgetrf2`),
+//! in place on the factor's column-major storage. For an `m×n` panel
+//! split into column halves `[A₁ A₂]` of widths `n₁` and `n₂`:
 //!
-//! 1. factor the panel with unblocked, partially pivoted LU;
-//! 2. apply the panel's row swaps to the rest of the matrix;
-//! 3. `U₁₂ ← L₁₁⁻¹·A₁₂` via [`crate::level3::dtrsm`] (unit lower);
-//! 4. `A₂₂ ← A₂₂ − L₂₁·U₁₂` via [`crate::gemm::gemm`] — where ~all the
-//!    `2n³/3` flops go, through the paper's GEBP engine.
+//! 1. factor the left half `A₁ = P₁·[L₁₁; L₂₁]·U₁₁` recursively;
+//! 2. apply its row swaps to the right half (`laswp`, column by
+//!    column);
+//! 3. `U₁₂ ← L₁₁⁻¹·A₁₂` via the recursive [`crate::level3::dtrsm`];
+//! 4. `A₂₂ ← A₂₂ − L₂₁·U₁₂` with one [`crate::gemm::try_gemm`] of depth
+//!    `k = n₁` (768 at the top of a 1536 factorization) — where ~all
+//!    the `2n³/3` flops go, through the paper's GEBP engine;
+//! 5. factor `A₂₂` recursively;
+//! 6. apply its row swaps back to the left half's `L₂₁`.
+//!
+//! Panels at most `LEAF` (16) columns wide run an unblocked,
+//! column-oriented kernel (pivot search, scale, axpy on contiguous
+//! columns). The only copy is `U₁₂`, into one reused scratch buffer,
+//! because it shares columns with `A₂₂`. All non-GEMM work is serial
+//! and deterministic, so the factors are bit-identical across runtimes.
 
 #![forbid(unsafe_code)]
 
 use crate::gemm::{try_gemm, GemmConfig};
 use crate::level3::{dtrsm, Diag, UpLo};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, MatrixView, MatrixViewMut};
 use crate::{GemmError, Transpose};
 
 /// The factorization result: `P·A = L·U` stored compactly in `lu`
@@ -44,7 +56,7 @@ impl core::fmt::Display for Singular {
 
 impl std::error::Error for Singular {}
 
-/// Any failure of the blocked factorization: numerical (no usable
+/// Any failure of the factorization: numerical (no usable
 /// pivot) or a GEMM runtime fault propagated from the update.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LuError {
@@ -88,115 +100,138 @@ impl LuError {
     }
 }
 
-/// Panel width for the blocked factorization: the paper's `nr`-aligned
-/// choice keeps the GEMM update's K dimension a multiple of the register
-/// block.
-const DEFAULT_NB: usize = 48;
+/// Widest panel the unblocked kernel factors; wider panels split in
+/// half. Any width is correct: at 16 the kernel's repeated passes over
+/// its panel stay in L2 (192 KiB at 1536 rows) and its flops are a
+/// small share, while every level above hands the GEMM `k ≥ 8`.
+const LEAF: usize = 16;
 
 /// Factor a square matrix: `P·A = L·U` with partial pivoting.
 pub fn lu_factor(a: &Matrix, cfg: &GemmConfig) -> Result<LuFactors, LuError> {
     assert_eq!(a.rows(), a.cols(), "LU needs a square matrix");
-    let n = a.rows();
     let mut lu = a.clone();
-    let mut pivots = vec![0usize; n];
-    let nb = DEFAULT_NB;
-
-    let mut j0 = 0usize;
-    while j0 < n {
-        let w = nb.min(n - j0);
-        // 1) unblocked factorization of the panel rows j0..n, cols j0..j0+w
-        #[allow(clippy::needless_range_loop)] // k walks rows, cols and pivots together
-        for k in j0..j0 + w {
-            // pivot search in column k, rows k..n
-            let mut piv = k;
-            let mut best = lu.get(k, k).abs();
-            for r in k + 1..n {
-                let v = lu.get(r, k).abs();
-                if v > best {
-                    best = v;
-                    piv = r;
-                }
-            }
-            if best == 0.0 {
-                return Err(Singular { column: k }.into());
-            }
-            pivots[k] = piv;
-            if piv != k {
-                swap_rows(&mut lu, k, piv);
-            }
-            // eliminate below the pivot within the panel
-            let pivval = lu.get(k, k);
-            for r in k + 1..n {
-                let l = lu.get(r, k) / pivval;
-                lu.set(r, k, l);
-                for c in k + 1..j0 + w {
-                    let v = lu.get(r, c) - l * lu.get(k, c);
-                    lu.set(r, c, v);
-                }
-            }
-        }
-
-        let rest = n - (j0 + w);
-        if rest > 0 {
-            // 2) the panel's swaps were already applied to the whole row
-            //    by swap_rows above.
-            // 3) U12 = L11^{-1} A12 (unit lower triangular solve)
-            let l11 = lu_sub(&lu, j0, j0, w, w);
-            let mut a12 = lu_sub(&lu, j0, j0 + w, w, rest);
-            {
-                let mut view = a12.view_mut();
-                dtrsm(
-                    UpLo::Lower,
-                    Transpose::No,
-                    Diag::Unit,
-                    1.0,
-                    &l11.view(),
-                    &mut view,
-                    cfg,
-                )?;
-            }
-            copy_back(&mut lu, j0, j0 + w, &a12);
-
-            // 4) A22 -= L21 * U12 — the GEMM that dominates LINPACK
-            let l21 = lu_sub(&lu, j0 + w, j0, rest, w);
-            let mut a22 = lu_sub(&lu, j0 + w, j0 + w, rest, rest);
-            try_gemm(
-                Transpose::No,
-                Transpose::No,
-                -1.0,
-                &l21.view(),
-                &a12.view(),
-                1.0,
-                &mut a22.view_mut(),
-                cfg,
-            )?;
-            copy_back(&mut lu, j0 + w, j0 + w, &a22);
-        }
-        j0 += w;
-    }
+    let mut pivots = vec![0usize; a.rows()];
+    let mut scratch = Vec::new();
+    factor(&mut lu.view_mut(), 0, &mut pivots, &mut scratch, cfg)?;
     Ok(LuFactors { lu, pivots })
 }
 
-fn swap_rows(m: &mut Matrix, r1: usize, r2: usize) {
-    if r1 == r2 {
-        return;
+/// Recursive LU of the `m×n` panel `a` (`m ≥ n`) whose first column is
+/// column `col0` of the whole matrix. `pivots[k]` receives the row,
+/// relative to the panel, swapped with row `k`; `u12` is the reused
+/// scratch for the copy of `U₁₂`.
+fn factor(
+    a: &mut MatrixViewMut<'_>,
+    col0: usize,
+    pivots: &mut [usize],
+    u12: &mut Vec<f64>,
+    cfg: &GemmConfig,
+) -> Result<(), LuError> {
+    let (m, n) = (a.rows(), a.cols());
+    if n <= LEAF {
+        return factor_leaf(a, col0, pivots).map_err(LuError::from);
     }
-    for c in 0..m.cols() {
-        let a = m.get(r1, c);
-        let b = m.get(r2, c);
-        m.set(r1, c, b);
-        m.set(r2, c, a);
+    let n1 = n / 2;
+    let n2 = n - n1;
+    let (mut left, mut right) = a.split_cols_mut(n1);
+    let (piv1, piv2) = pivots.split_at_mut(n1);
+
+    factor(&mut left, col0, piv1, u12, cfg)?;
+    laswp(&mut right, piv1, false);
+    let l = left.as_view();
+    dtrsm(
+        UpLo::Lower,
+        Transpose::No,
+        Diag::Unit,
+        1.0,
+        &l.sub(0, 0, n1, n1),
+        &mut right.sub_mut(0, 0, n1, n2),
+        cfg,
+    )?;
+    u12.clear();
+    for j in 0..n2 {
+        u12.extend_from_slice(&right.col_mut(j)[..n1]);
     }
+    try_gemm(
+        Transpose::No,
+        Transpose::No,
+        -1.0,
+        &l.sub(n1, 0, m - n1, n1),
+        &MatrixView::from_slice(n1, n2, n1, u12),
+        1.0,
+        &mut right.sub_mut(n1, 0, m - n1, n2),
+        cfg,
+    )?;
+
+    factor(
+        &mut right.sub_mut(n1, 0, m - n1, n2),
+        col0 + n1,
+        piv2,
+        u12,
+        cfg,
+    )?;
+    laswp(&mut left.sub_mut(n1, 0, m - n1, n1), piv2, false);
+    for p in piv2.iter_mut() {
+        *p += n1;
+    }
+    Ok(())
 }
 
-fn lu_sub(m: &Matrix, i0: usize, j0: usize, rows: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |i, j| m.get(i0 + i, j0 + j))
+/// Unblocked right-looking LU of a panel at most [`LEAF`] columns wide,
+/// one contiguous column at a time.
+fn factor_leaf(
+    a: &mut MatrixViewMut<'_>,
+    col0: usize,
+    pivots: &mut [usize],
+) -> Result<(), Singular> {
+    let (m, n) = (a.rows(), a.cols());
+    for (k, pivot) in pivots.iter_mut().enumerate() {
+        let col = a.col_mut(k);
+        let mut p = k;
+        let mut best = col[k].abs();
+        for (r, v) in col.iter().enumerate().skip(k + 1) {
+            if v.abs() > best {
+                best = v.abs();
+                p = r;
+            }
+        }
+        if best == 0.0 {
+            return Err(Singular { column: col0 + k });
+        }
+        *pivot = p;
+        laswp(&mut a.sub_mut(k, 0, m - k, n), &[p - k], false);
+        let (mut done, mut rest) = a.split_cols_mut(k + 1);
+        let lk = &mut done.col_mut(k)[k..];
+        let d = lk[0];
+        for l in &mut lk[1..] {
+            *l /= d;
+        }
+        let lk = &lk[1..];
+        for j in 0..rest.cols() {
+            let col = &mut rest.col_mut(j)[k..];
+            let u = col[0];
+            for (x, &l) in col[1..].iter_mut().zip(lk) {
+                *x -= l * u;
+            }
+        }
+    }
+    Ok(())
 }
 
-fn copy_back(m: &mut Matrix, i0: usize, j0: usize, src: &Matrix) {
-    for j in 0..src.cols() {
-        for i in 0..src.rows() {
-            m.set(i0 + i, j0 + j, src.get(i, j));
+/// Row interchanges on `b`, column by column (LAPACK `laswp`):
+/// `pivots[k] = r` swaps rows `k` and `r` for `k` ascending, or for `k`
+/// descending with `reverse`, which undoes the ascending pass.
+fn laswp(b: &mut MatrixViewMut<'_>, pivots: &[usize], reverse: bool) {
+    for j in 0..b.cols() {
+        let col = b.col_mut(j);
+        if reverse {
+            for (k, &p) in pivots.iter().enumerate().rev() {
+                col.swap(k, p);
+            }
+        } else {
+            for (k, &p) in pivots.iter().enumerate() {
+                col.swap(k, p);
+            }
         }
     }
 }
@@ -211,11 +246,7 @@ impl LuFactors {
     /// Apply the pivot permutation to a right-hand-side matrix in place
     /// (forward order, as in LAPACK `laswp`).
     pub fn apply_pivots(&self, b: &mut Matrix) {
-        for (k, &p) in self.pivots.iter().enumerate() {
-            if p != k {
-                swap_rows(b, k, p);
-            }
-        }
+        laswp(&mut b.view_mut(), &self.pivots, false);
     }
 
     /// Solve `A·X = B` using the factorization (B has one column per
@@ -271,12 +302,7 @@ impl LuFactors {
             &mut pa.view_mut(),
         );
         // undo the pivoting: apply swaps in reverse
-        for k in (0..n).rev() {
-            let p = self.pivots[k];
-            if p != k {
-                swap_rows(&mut pa, k, p);
-            }
-        }
+        laswp(&mut pa.view_mut(), &self.pivots, true);
         pa
     }
 }
@@ -334,7 +360,7 @@ mod tests {
 
     #[test]
     fn reconstruct_crosses_panels() {
-        // n > DEFAULT_NB exercises trsm + gemm updates
+        // n > LEAF exercises the recursion's trsm + gemm updates
         for n in [49, 96, 130] {
             let a = well_conditioned(n, n as u64);
             let f = lu_factor(&a, &GemmConfig::default()).unwrap();
@@ -399,7 +425,7 @@ mod tests {
             .unwrap();
         let cfg = GemmConfig::default().with_parallelism(crate::pool::Parallelism::from_threads(4));
         let parallel = lu_factor(&a, &cfg).unwrap().solve(&b, &cfg).unwrap();
-        assert!(serial.max_abs_diff(&parallel) < 1e-10);
+        assert_eq!(serial, parallel, "runtimes must agree exactly");
     }
 
     #[test]

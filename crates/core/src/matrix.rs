@@ -347,6 +347,30 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
         }
     }
 
+    /// Split at column `j` into disjoint mutable views of columns `..j`
+    /// and `j..` (same rows and leading dimension).
+    #[must_use]
+    pub fn split_cols_mut(&mut self, j: usize) -> (MatrixViewMut<'_, T>, MatrixViewMut<'_, T>) {
+        assert!(j <= self.cols, "column split out of bounds");
+        // a view's slice ends at its last element, short of `cols·ld`
+        let at = (j * self.ld).min(self.data.len());
+        let (left, right) = self.data.split_at_mut(at);
+        (
+            MatrixViewMut {
+                rows: self.rows,
+                cols: j,
+                ld: self.ld,
+                data: left,
+            },
+            MatrixViewMut {
+                rows: self.rows,
+                cols: self.cols - j,
+                ld: self.ld,
+                data: right,
+            },
+        )
+    }
+
     /// One mutable column.
     #[must_use]
     pub fn col_mut(&mut self, j: usize) -> &mut [T] {
@@ -469,6 +493,31 @@ mod tests {
         let v = MatrixView::from_slice(2, 3, 4, &data);
         assert_eq!(v.get(1, 2), 9.0);
         assert_eq!(v.col(1), &[4.0, 5.0]);
+    }
+
+    #[test]
+    fn split_cols_mut_gives_disjoint_halves() {
+        let mut m = Matrix::from_fn(5, 4, |i, j| (10 * i + j) as f64);
+        // a strided sub-view: rows 1..4, cols 0..4 (ld 5 > 3 rows)
+        let mut v = m.view_mut();
+        let mut sub = v.sub_mut(1, 0, 3, 4);
+        for j in 0..=4 {
+            let (left, right) = sub.split_cols_mut(j);
+            assert_eq!((left.rows(), left.cols()), (3, j));
+            assert_eq!((right.rows(), right.cols()), (3, 4 - j));
+            if j > 0 {
+                assert_eq!(left.get(2, j - 1), 30.0 + (j - 1) as f64);
+            }
+            if j < 4 {
+                assert_eq!(right.get(2, 0), 30.0 + j as f64);
+            }
+        }
+        let (mut left, mut right) = sub.split_cols_mut(2);
+        left.set(0, 1, -1.0);
+        right.set(2, 1, -2.0);
+        assert_eq!(m.get(1, 1), -1.0);
+        assert_eq!(m.get(3, 3), -2.0);
+        assert_eq!(m.get(4, 3), 43.0, "row outside the view untouched");
     }
 
     #[test]

@@ -67,6 +67,26 @@ pub fn gamma(n: usize) -> f64 {
     nu / (1.0 - nu)
 }
 
+/// Compensated dot product `Σ aᵢ·bᵢ` (Ogita–Rump–Oishi Dot2): as
+/// accurate as if summed in twice the working precision, then rounded —
+/// `|dot2 − exact| ≤ u·|exact| + γ²ₙ·Σ|aᵢ·bᵢ|`. The reference the
+/// componentwise residual checks evaluate with.
+#[must_use]
+pub fn dot2(terms: impl IntoIterator<Item = (f64, f64)>) -> f64 {
+    let (mut s, mut c) = (0.0f64, 0.0f64);
+    for (a, b) in terms {
+        // TwoProduct via FMA, then TwoSum: both error terms are exact
+        let p = a * b;
+        let pe = a.mul_add(b, -p);
+        let t = s + p;
+        let z = t - s;
+        let se = (s - (t - z)) + (p - z);
+        s = t;
+        c += pe + se;
+    }
+    s + c
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +130,22 @@ mod tests {
         let u = f64::EPSILON / 2.0;
         assert!((gamma(1) - u).abs() <= u * u * 2.0);
         assert!(gamma(1000) > 1000.0 * u);
+    }
+
+    #[test]
+    fn dot2_recovers_what_plain_summation_cancels() {
+        // 1 + 2⁻⁶⁰ − 1: naive summation loses the small term entirely
+        let tiny = 2f64.powi(-60);
+        let terms = [(1.0, 1.0), (tiny, 1.0), (-1.0, 1.0)];
+        assert_eq!(terms.iter().map(|(a, b)| a * b).sum::<f64>(), 0.0);
+        assert_eq!(dot2(terms), tiny);
+        // the rounding error of a product is kept too
+        let x = 1.0 + f64::EPSILON;
+        assert_eq!(
+            dot2([(x, x), (-1.0, 1.0), (-2.0 * f64::EPSILON, 1.0)]),
+            f64::EPSILON * f64::EPSILON
+        );
+        assert_eq!(dot2([]), 0.0);
     }
 
     #[test]

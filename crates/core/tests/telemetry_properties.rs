@@ -136,6 +136,43 @@ mod enabled {
         }
     }
 
+    /// One `dtrsm` call retires exactly `m(m−1)n` flops (`+ mn`
+    /// divides for `NonUnit`): the recursion's GEMMs count `2·m₁·m₂·n`
+    /// at the GEBP choke point, the substitution leaves count their
+    /// triangles, and the two sum to the closed form at every split.
+    #[test]
+    fn trsm_flops_are_exact() {
+        use dgemm_core::level3::{dtrsm, Diag, UpLo};
+        for m in [1, 31, 32, 33, 64, 65, 200] {
+            let n = 17;
+            let a = Matrix::from_fn(m, m, |i, j| if i == j { 2.0 } else { 0.1 });
+            for uplo in [UpLo::Lower, UpLo::Upper] {
+                for trans in [Transpose::No, Transpose::Yes] {
+                    for diag in [Diag::NonUnit, Diag::Unit] {
+                        let _g = lock_and_reset();
+                        let mut b = Matrix::random(m, n, 5);
+                        dtrsm(
+                            uplo,
+                            trans,
+                            diag,
+                            1.0,
+                            &a.view(),
+                            &mut b.view_mut(),
+                            &cfg(Parallelism::Serial),
+                        )
+                        .unwrap();
+                        let divides = if diag == Diag::NonUnit { m * n } else { 0 };
+                        assert_eq!(
+                            telemetry::snapshot().total_flops(),
+                            (m * (m - 1) * n + divides) as u64,
+                            "{uplo:?}/{trans:?}/{diag:?} m={m}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn scoped_counters_are_exact() {
         // m > mc so run_layer3_scoped actually partitions into bands.

@@ -1,5 +1,5 @@
 //! LINPACK-style driver — the workload the paper's introduction names as
-//! DGEMM's purpose: factor a random dense system with blocked,
+//! DGEMM's purpose: factor a random dense system with recursive,
 //! partially-pivoted LU (whose flops flow through the GEBP engine) and
 //! validate the solve with the HPL residual test.
 //!
